@@ -1156,7 +1156,10 @@ func predictBenchStore() *dataset.Store {
 // BenchmarkPredictedAdviceThroughput measures serving merged
 // measured+predicted advice: the uncached fit+synthesize+merge baseline
 // against the query-engine cached path (8 readers, per-filter keys) — the
-// latency a GUI /predict page actually pays.
+// latency a GUI /predict page actually pays — and, in distinct-grids, one
+// app's advice plus backtest over a new grid per request, so every request
+// misses the engine's result cache and only the per-generation fit memo
+// can help (the shape of a users' own predicted-advice queries).
 func BenchmarkPredictedAdviceThroughput(b *testing.B) {
 	const readers = 8
 	cfg := predictor.Config{
@@ -1177,9 +1180,22 @@ func BenchmarkPredictedAdviceThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f := filters[i%len(filters)]
-			rows := predictor.Advice(store.Select(f), cfg, pareto.ByTime)
+			rows := predictor.Advice(nil, store.Select(f), cfg, pareto.ByTime)
 			if len(rows) == 0 {
 				b.Fatal("empty predicted advice")
+			}
+		}
+	})
+
+	b.Run("distinct-grids", func(b *testing.B) {
+		eng := queryengine.New(predictBenchStore(), 0)
+		f := dataset.Filter{AppName: "lammps"}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			grid := predictor.Config{Prices: cfg.Prices, Region: cfg.Region, Grid: []int{3, 5, 32 + i}}
+			if len(eng.PredictedAdvice(f, pareto.ByTime, grid)) == 0 || eng.Backtest(f, grid).Groups == 0 {
+				b.Fatal("empty predicted advice or backtest")
 			}
 		}
 	})

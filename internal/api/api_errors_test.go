@@ -8,8 +8,11 @@ package api
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
+
+	"hpcadvisor/internal/service"
 )
 
 func decodeErrorBody(t *testing.T, body string) errorBody {
@@ -128,5 +131,29 @@ func TestMalformedIfNoneMatch(t *testing.T) {
 		if resp.StatusCode != http.StatusNotModified {
 			t.Fatalf("If-None-Match %q: status %d, want 304", inm, resp.StatusCode)
 		}
+	}
+}
+
+// TestPredictedAdviceGridBounded pins the grid caps: a grid of 20,000 node
+// counts, or one node count past service.MaxGridNodes, is refused with a
+// 400 before any prediction work, instead of a multi-megabyte body.
+func TestPredictedAdviceGridBounded(t *testing.T) {
+	ts, _ := newTestServer(t)
+	counts := make([]string, 20000)
+	for i := range counts {
+		counts[i] = strconv.Itoa(i + 1)
+	}
+	for _, grid := range []string{strings.Join(counts, ","), strconv.Itoa(service.MaxGridNodes + 1)} {
+		resp, body := get(t, ts, "/api/v1/predicted-advice?grid="+grid, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("grid of %d bytes: status %d, want 400 (body %d bytes)", len(grid), resp.StatusCode, len(body))
+		}
+		if eb := decodeErrorBody(t, body); !strings.Contains(eb.Error.Message, "grid") {
+			t.Fatalf("error message %q does not mention the grid", eb.Error.Message)
+		}
+	}
+	ok := strings.Join(counts[:service.MaxGridEntries-1], ",") + "," + strconv.Itoa(service.MaxGridNodes)
+	if resp, _ := get(t, ts, "/api/v1/predicted-advice?grid="+ok, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("grid at both caps: status %d, want 200", resp.StatusCode)
 	}
 }

@@ -127,12 +127,10 @@ func (sn *Snapshot) matchAt(cf *colFilter, i int) bool {
 
 // sortByTimeCost stably sorts candidate positions by ascending (exec,
 // cost), comparing column cells. The hand-rolled bottom-up merge avoids
-// sort.SliceStable's reflection-based swaps on the per-generation front
-// path. Stability is load-bearing, not a nicety: a stable sort's output is
-// uniquely determined by keys and input order, so this sort and
-// pareto.Front's sort.SliceStable produce the same permutation of the same
-// candidates — which is what makes precomputed fronts byte-identical to
-// the scan path even for exact (time, cost) duplicates.
+// sort.SliceStable's reflection-based swaps. Stability is load-bearing,
+// not a nicety: a stable sort's output is uniquely determined by keys and
+// input order, which pins the tie-break for exact (time, cost) duplicates
+// to "first in candidate order" (the rule pareto.FrontNaive applies).
 func sortByTimeCost(idx []int32, exec, cost []float64) {
 	n := len(idx)
 	if n < 2 {
@@ -175,12 +173,11 @@ func sortByTimeCost(idx []int32, exec, cost []float64) {
 }
 
 // frontPositions computes the Pareto front of the filter's matches
-// straight from the columns: candidate positions (already in canonical
-// select order) are stably sorted by (time, cost) and swept once. The
-// sweep replicates pareto.Front expression for expression — including the
-// NaN-tolerant minCost seed — so materializing the surviving positions
-// equals pareto.Front(sn.Select(f)) byte for byte without copying the
-// candidate points first. The returned positions are in by-time order and
+// straight from the columns: the Skyline of the candidate positions
+// (already in canonical select order). pareto.Front runs the same Skyline,
+// so materializing the surviving positions equals
+// pareto.Front(sn.Select(f)) byte for byte without copying the candidate
+// points first. The returned positions are in by-time order and
 // are exactly what the v2 snapshot format persists per hot front.
 func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 	cf, ok := sn.resolve(c)
@@ -203,14 +200,27 @@ func (sn *Snapshot) frontPositions(c *CanonicalFilter) []int32 {
 			}
 		}
 	}
+	return Skyline(cand, sn.col.exec, sn.col.cost)
+}
+
+// Skyline returns the Pareto-efficient entries of cand — positions into the
+// parallel exec and cost columns — in ascending time order, reusing cand's
+// storage. The sweep runs in O(n log n): stably sort the positions by
+// (time, cost) and keep those that strictly lower the running minimum
+// cost, so along the result times strictly rise and costs strictly fall,
+// and of exact (time, cost) duplicates the first in cand order survives.
+// Every front in the program — hot fronts, pareto.Front, and the merged
+// measured and predicted front — is this function's output.
+func Skyline(cand []int32, exec, cost []float64) []int32 {
 	if len(cand) == 0 {
 		return nil
 	}
-	sortByTimeCost(cand, sn.col.exec, sn.col.cost)
-	cost := sn.col.cost
+	sortByTimeCost(cand, exec, cost)
 	front := cand[:0] // survivors are a subsequence of cand: reuse it
 	minCost := cost[cand[0]] + 1
 	for _, i := range cand {
+		// The (time, cost) sort guarantees any same-time, higher-cost or
+		// duplicate entry sees minCost already at or below its own cost.
 		if cost[i] < minCost {
 			front = append(front, i)
 			minCost = cost[i]

@@ -6,6 +6,7 @@ package pareto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,41 +23,28 @@ func Dominates(a, b dataset.Point) bool {
 }
 
 // Front returns the Pareto-efficient points among the successful points,
-// sorted by ascending execution time. The skyline sweep runs in O(n log n):
-// sort by (time, cost) and keep points that strictly lower the running
-// minimum cost.
-//
-// The sort is stable, which pins the tie-break for exact (time, cost)
-// duplicates to "first in input order" — the same rule FrontNaive applies —
-// and makes the output uniquely determined by the input sequence. The
-// snapshot's precomputed hot fronts (dataset.Snapshot.HotAdvice) rely on
-// that uniqueness to stay byte-identical to this function without sharing
-// its code.
+// sorted by ascending execution time: dataset.Skyline over the points'
+// (time, cost) columns, with only the front points copied out. Of exact
+// (time, cost) duplicates the first in input order survives — the same rule
+// FrontNaive applies — so the output is uniquely determined by the input
+// sequence.
 func Front(points []dataset.Point) []dataset.Point {
-	var ok []dataset.Point
-	for _, p := range points {
-		if !p.Failed {
-			ok = append(ok, p)
+	times := make([]float64, len(points))
+	costs := make([]float64, len(points))
+	cand := make([]int32, 0, len(points))
+	for i := range points {
+		times[i], costs[i] = points[i].ExecTimeSec, points[i].CostUSD
+		if !points[i].Failed {
+			cand = append(cand, int32(i))
 		}
 	}
-	if len(ok) == 0 {
+	pos := dataset.Skyline(cand, times, costs)
+	if len(pos) == 0 {
 		return nil
 	}
-	sort.SliceStable(ok, func(i, j int) bool {
-		if ok[i].ExecTimeSec != ok[j].ExecTimeSec {
-			return ok[i].ExecTimeSec < ok[j].ExecTimeSec
-		}
-		return ok[i].CostUSD < ok[j].CostUSD
-	})
-	var front []dataset.Point
-	minCost := ok[0].CostUSD + 1
-	for _, p := range ok {
-		// The (time, cost) sort guarantees any same-time, higher-cost or
-		// duplicate point sees minCost already at or below its own cost.
-		if p.CostUSD < minCost {
-			front = append(front, p)
-			minCost = p.CostUSD
-		}
+	front := make([]dataset.Point, len(pos))
+	for i, p := range pos {
+		front[i] = points[p]
 	}
 	return front
 }
@@ -106,14 +94,13 @@ const (
 	ByCost
 )
 
-// Advice computes the front and orders it for presentation.
+// Advice computes the front and orders it for presentation. Along a front
+// times strictly rise as costs strictly fall, so cost order is the reverse
+// of the time order Front returns.
 func Advice(points []dataset.Point, order SortOrder) []dataset.Point {
 	front := Front(points)
-	switch order {
-	case ByCost:
-		sort.Slice(front, func(i, j int) bool { return front[i].CostUSD < front[j].CostUSD })
-	default:
-		sort.Slice(front, func(i, j int) bool { return front[i].ExecTimeSec < front[j].ExecTimeSec })
+	if order == ByCost {
+		slices.Reverse(front)
 	}
 	return front
 }

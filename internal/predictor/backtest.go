@@ -42,57 +42,84 @@ func (r BacktestReport) String() string {
 		r.Groups, r.Held, r.AmdahlMAPE, r.PowerLawMAPE, r.SelectedMAPE)
 }
 
+// fold is one leave-one-out refit: the held-out time and each family's
+// prediction of it. A family that could not refit has ok false; sel is set
+// only when the better refit clears the quality gate.
+type fold struct {
+	obs         float64
+	am, pw, sel float64
+	amOK, pwOK  bool
+	selOK       bool
+}
+
+// groupFolds runs one group's leave-one-out refits, when the group has the
+// MinPoints distinct node counts Fit would ask of it.
+func groupFolds(g *group, cfg Config) (tested bool, folds []fold) {
+	if len(distinctNodes(g.nodes)) < cfg.minPoints() {
+		return false, nil
+	}
+	nodes := make([]int, 0, len(g.nodes)-1)
+	times := make([]float64, 0, len(g.nodes)-1)
+	for hold := range g.nodes {
+		nodes, times = nodes[:0], times[:0]
+		for i := range g.nodes {
+			if i != hold {
+				nodes = append(nodes, g.nodes[i])
+				times = append(times, g.times[i])
+			}
+		}
+		am, amR2, pw, pwR2 := fitBoth(nodes, times)
+		f := fold{obs: g.times[hold], amOK: !math.IsInf(amR2, -1), pwOK: !math.IsInf(pwR2, -1)}
+		if !f.amOK && !f.pwOK {
+			continue
+		}
+		heldN := g.nodes[hold]
+		f.am, f.pw = am.Predict(heldN), pw.Predict(float64(heldN))
+		// Selected-model error mirrors what PredictedAdvice serves: the
+		// better family per refit, and only when it clears the quality
+		// gate — a fold the gate rejects would never reach a user.
+		selT, selR2 := f.am, amR2
+		if f.pwOK && (!f.amOK || pwR2 > amR2) {
+			selT, selR2 = f.pw, pwR2
+		}
+		if selR2 >= cfg.minR2() {
+			f.sel, f.selOK = selT, true
+		}
+		folds = append(folds, f)
+	}
+	return true, folds
+}
+
 // Backtest runs the leave-one-out evaluation over every group Fit would
 // serve predictions for (at least MinPoints distinct measured node counts).
 // Each refit has one point fewer than the served fit, so the backtest is
 // the honest approximation of served-fit error rather than a strict mirror
-// of the evidence gate.
-func Backtest(points []dataset.Point, cfg Config) BacktestReport {
+// of the evidence gate. Folds come from memo where it holds the group (nil
+// refits every group).
+func Backtest(memo *Fits, points []dataset.Point, cfg Config) BacktestReport {
 	var rep BacktestReport
 	// Paired (observation, prediction) arrays per family: a family that
 	// cannot refit on one fold simply skips that fold instead of poisoning
 	// its MAPE with a NaN.
 	var amObs, amPred, pwObs, pwPred, selObs, selPred []float64
 	for _, g := range groupPoints(points) {
-		if len(distinctNodes(g)) < cfg.minPoints() {
+		tested, folds := memo.folds(&g, cfg)
+		if !tested {
 			continue
 		}
 		rep.Groups++
-		for hold := range g {
-			nodes := make([]int, 0, len(g)-1)
-			times := make([]float64, 0, len(g)-1)
-			for i, p := range g {
-				if i == hold {
-					continue
-				}
-				nodes = append(nodes, p.NNodes)
-				times = append(times, p.ExecTimeSec)
+		for _, f := range folds {
+			if f.amOK {
+				amObs = append(amObs, f.obs)
+				amPred = append(amPred, f.am)
 			}
-			am, amR2, pw, pwR2 := fitBoth(nodes, times)
-			amOK := !math.IsInf(amR2, -1)
-			pwOK := !math.IsInf(pwR2, -1)
-			if !amOK && !pwOK {
-				continue
+			if f.pwOK {
+				pwObs = append(pwObs, f.obs)
+				pwPred = append(pwPred, f.pw)
 			}
-			held := g[hold]
-			if amOK {
-				amObs = append(amObs, held.ExecTimeSec)
-				amPred = append(amPred, am.Predict(held.NNodes))
-			}
-			if pwOK {
-				pwObs = append(pwObs, held.ExecTimeSec)
-				pwPred = append(pwPred, pw.Predict(float64(held.NNodes)))
-			}
-			// Selected-model error mirrors what PredictedAdvice serves: the
-			// better family per refit, and only when it clears the quality
-			// gate — a fold the gate rejects would never reach a user.
-			selT, selR2 := am.Predict(held.NNodes), amR2
-			if pwOK && (!amOK || pwR2 > amR2) {
-				selT, selR2 = pw.Predict(float64(held.NNodes)), pwR2
-			}
-			if selR2 >= cfg.minR2() {
-				selObs = append(selObs, held.ExecTimeSec)
-				selPred = append(selPred, selT)
+			if f.selOK {
+				selObs = append(selObs, f.obs)
+				selPred = append(selPred, f.sel)
 			}
 		}
 	}

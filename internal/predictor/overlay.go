@@ -57,23 +57,19 @@ func curveNodes(g *GroupFit, grid []int) []int {
 // points on ExecTimeVsCost. Other plots pass through unchanged. Overlay
 // series are named "<sku> (predicted)" so they stay distinguishable in
 // legends; measured series are never modified.
-func Overlay(set plot.Set, points []dataset.Point, cfg Config) plot.Set {
+func Overlay(memo *Fits, set plot.Set, points []dataset.Point, cfg Config) plot.Set {
 	if cfg.Prices == nil || cfg.Region == "" {
 		return set
 	}
-	grid := cfg.Grid
-	if len(grid) == 0 {
-		grid = DefaultGrid(points)
-	}
+	grid := predictionGrid(points, cfg)
 	// The incoming set may be a cached value whose Series slices are shared
 	// (the query engine hands out its memoized measured set); clip their
 	// capacity so the appends below always reallocate instead of writing
 	// into a shared backing array.
 	set.ExecTimeVsNodes.Series = set.ExecTimeVsNodes.Series[:len(set.ExecTimeVsNodes.Series):len(set.ExecTimeVsNodes.Series)]
 	set.ExecTimeVsCost.Series = set.ExecTimeVsCost.Series[:len(set.ExecTimeVsCost.Series):len(set.ExecTimeVsCost.Series)]
-	fits := Fit(points, cfg)
-	for i := range fits {
-		g := &fits[i]
+	var preds []prediction
+	for _, g := range fitted(memo, points, cfg) {
 		name := g.SKUAlias + " (predicted)"
 
 		// ExecTimeVsNodes: interval band first (under the curve), then the
@@ -109,8 +105,9 @@ func Overlay(set plot.Set, points []dataset.Point, cfg Config) plot.Set {
 		costSeries.Name = name
 		costSeries.Scatter = true
 		costSeries.Dashed = true
-		for _, r := range synthesize(g, grid, cfg) {
-			costSeries.Points = append(costSeries.Points, plot.XY{X: r.ExecTimeSec, Y: r.CostUSD})
+		preds = predictions(preds[:0], g, grid, cfg)
+		for _, p := range preds {
+			costSeries.Points = append(costSeries.Points, plot.XY{X: p.time, Y: p.cost})
 		}
 		sort.Slice(costSeries.Points, func(a, b int) bool { return costSeries.Points[a].X < costSeries.Points[b].X })
 		if len(costSeries.Points) > 0 {

@@ -23,7 +23,7 @@ func TestOverlayAddsPredictedSeries(t *testing.T) {
 	baseNodes := len(base.ExecTimeVsNodes.Series)
 	baseCost := len(base.ExecTimeVsCost.Series)
 
-	over := Overlay(base, pts, cfg)
+	over := Overlay(nil, base, pts, cfg)
 
 	// ExecTimeVsNodes gains a band plus a dashed fitted curve per group.
 	got := over.ExecTimeVsNodes.Series
@@ -79,7 +79,7 @@ func TestOverlayAddsPredictedSeries(t *testing.T) {
 
 func TestOverlayRendersInBothBackends(t *testing.T) {
 	base, pts, cfg := overlayFixture(t)
-	over := Overlay(base, pts, cfg)
+	over := Overlay(nil, base, pts, cfg)
 	svg := string(plot.RenderSVG(over.ExecTimeVsNodes))
 	if !strings.Contains(svg, "stroke-dasharray") {
 		t.Error("SVG lacks dashed predicted curve")
@@ -101,7 +101,7 @@ func TestOverlayWithoutFitsIsIdentity(t *testing.T) {
 	store := dataset.NewStore()
 	store.AddAll(pts)
 	base := plot.BuildSet(store, dataset.Filter{})
-	over := Overlay(base, pts, testConfig())
+	over := Overlay(nil, base, pts, testConfig())
 	if len(over.ExecTimeVsNodes.Series) != len(base.ExecTimeVsNodes.Series) {
 		t.Error("overlay added series without a trusted fit")
 	}
@@ -116,11 +116,11 @@ func TestOverlayDoesNotMutateSharedSeriesSlice(t *testing.T) {
 	cfgB := cfgA
 	cfgB.Grid = []int{1, 2, 4, 8, 64}
 
-	overA := Overlay(base, pts, cfgA)
+	overA := Overlay(nil, base, pts, cfgA)
 	curveA := overA.ExecTimeVsNodes.Series[len(overA.ExecTimeVsNodes.Series)-1]
 	lastA := curveA.Points[len(curveA.Points)-1]
 
-	Overlay(base, pts, cfgB) // must not touch overA or base
+	Overlay(nil, base, pts, cfgB) // must not touch overA or base
 
 	curveAgain := overA.ExecTimeVsNodes.Series[len(overA.ExecTimeVsNodes.Series)-1]
 	if got := curveAgain.Points[len(curveAgain.Points)-1]; got != lastA {
@@ -135,7 +135,7 @@ func TestOverlayDoesNotMutateSharedSeriesSlice(t *testing.T) {
 
 func TestBandSharesItsCurveColor(t *testing.T) {
 	base, pts, cfg := overlayFixture(t)
-	over := Overlay(base, pts, cfg)
+	over := Overlay(nil, base, pts, cfg)
 	svg := string(plot.RenderSVG(over.ExecTimeVsNodes))
 	// The band polygon must be tinted with the same palette color as the
 	// dashed curve it belongs to.

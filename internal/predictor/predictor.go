@@ -18,9 +18,11 @@
 package predictor
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,9 +105,20 @@ func (c Config) Key() string {
 		}
 		b.WriteString(strconv.Itoa(n))
 	}
-	fmt.Fprintf(&b, "|mp=%d|r2=%g|z=%g|rg=%s",
+	fmt.Fprintf(&b, "|"+fitKeyFormat+"|z=%g|rg=%s",
 		c.minPoints(), c.minR2(), c.intervalZ(), strings.ToLower(c.Region))
 	return b.String()
+}
+
+// fitKeyFormat renders MinPoints and MinR2, the fragment Key and FitKey
+// share.
+const fitKeyFormat = "mp=%d|r2=%g"
+
+// FitKey renders the parameters the fits and the backtest read — MinPoints
+// and MinR2 — as a cache key fragment. Results that depend only on the fits
+// are keyed by it, so they are shared across grids and regions.
+func (c Config) FitKey() string {
+	return fmt.Sprintf(fitKeyFormat, c.minPoints(), c.minR2())
 }
 
 // Row is one merged-advice row: a measured datapoint, or a model-synthesized
@@ -174,48 +187,6 @@ func (g GroupFit) Predict(n int) float64 {
 	return g.Amdahl.Predict(n)
 }
 
-// groupKey orders and identifies fit groups.
-func groupKey(p *dataset.Point) string {
-	return p.AppName + "\x00" + p.InputDesc + "\x00" + p.SKU
-}
-
-// groupPoints buckets successful points into (app, input, SKU) groups,
-// deterministically ordered by group key.
-func groupPoints(points []dataset.Point) [][]dataset.Point {
-	byKey := make(map[string][]dataset.Point)
-	var keys []string
-	for _, p := range points {
-		if p.Failed || p.ExecTimeSec <= 0 || p.NNodes < 1 {
-			continue
-		}
-		k := groupKey(&p)
-		if _, ok := byKey[k]; !ok {
-			keys = append(keys, k)
-		}
-		byKey[k] = append(byKey[k], p)
-	}
-	sort.Strings(keys)
-	out := make([][]dataset.Point, len(keys))
-	for i, k := range keys {
-		out[i] = byKey[k]
-	}
-	return out
-}
-
-// distinctNodes returns the distinct node counts of a group, ascending.
-func distinctNodes(pts []dataset.Point) []int {
-	seen := make(map[int]bool, len(pts))
-	var out []int
-	for _, p := range pts {
-		if !seen[p.NNodes] {
-			seen[p.NNodes] = true
-			out = append(out, p.NNodes)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // fitBoth fits both model families to (nodes, times) and returns each with
 // its R²; a family that cannot fit reports R² of -Inf.
 func fitBoth(nodes []int, times []float64) (am regression.Amdahl, amR2 float64, pw regression.PowerLaw, pwR2 float64) {
@@ -243,60 +214,65 @@ func fitBoth(nodes []int, times []float64) (am regression.Amdahl, amR2 float64, 
 
 // fitGroup fits one group and reports whether it passes the evidence and
 // quality gates.
-func fitGroup(pts []dataset.Point, cfg Config) (GroupFit, bool) {
-	nodesDistinct := distinctNodes(pts)
+func fitGroup(g *group, cfg Config) (GroupFit, bool) {
+	nodesDistinct := distinctNodes(g.nodes)
 	if len(nodesDistinct) < cfg.minPoints() {
 		return GroupFit{}, false
 	}
-	nodes := make([]int, len(pts))
-	times := make([]float64, len(pts))
-	for i, p := range pts {
-		nodes[i] = p.NNodes
-		times[i] = p.ExecTimeSec
-	}
-	am, amR2, pw, pwR2 := fitBoth(nodes, times)
-	g := GroupFit{
-		AppName:       pts[0].AppName,
-		SKU:           pts[0].SKU,
-		SKUAlias:      pts[0].SKUAlias,
-		PPN:           pts[0].PPN,
-		InputDesc:     pts[0].InputDesc,
-		AppInput:      pts[0].AppInput,
-		Tags:          pts[0].Tags,
+	am, amR2, pw, pwR2 := fitBoth(g.nodes, g.times)
+	fit := GroupFit{
+		AppName:       g.head.AppName,
+		SKU:           g.head.SKU,
+		SKUAlias:      g.head.SKUAlias,
+		PPN:           g.head.PPN,
+		InputDesc:     g.head.InputDesc,
+		AppInput:      g.head.AppInput,
+		Tags:          g.head.Tags,
 		Amdahl:        am,
 		Power:         pw,
 		MeasuredNodes: nodesDistinct,
 	}
 	if pwR2 > amR2 {
-		g.Model, g.R2 = ModelPowerLaw, pwR2
+		fit.Model, fit.R2 = ModelPowerLaw, pwR2
 	} else {
-		g.Model, g.R2 = ModelAmdahl, amR2
+		fit.Model, fit.R2 = ModelAmdahl, amR2
 	}
-	if math.IsInf(g.R2, -1) || math.IsNaN(g.R2) || g.R2 < cfg.minR2() {
+	if math.IsInf(fit.R2, -1) || math.IsNaN(fit.R2) || fit.R2 < cfg.minR2() {
 		return GroupFit{}, false
 	}
 	// Residual spread with a regression degrees-of-freedom correction (two
 	// fitted parameters in both families).
 	var sse float64
-	for i := range nodes {
-		d := times[i] - g.Predict(nodes[i])
+	for i, n := range g.nodes {
+		d := g.times[i] - fit.Predict(n)
 		sse += d * d
 	}
-	dof := len(nodes) - 2
+	dof := len(g.nodes) - 2
 	if dof < 1 {
 		dof = 1
 	}
-	g.ResidSD = math.Sqrt(sse / float64(dof))
-	return g, true
+	fit.ResidSD = math.Sqrt(sse / float64(dof))
+	return fit, true
 }
 
 // Fit fits every (app, input, SKU) group in points that passes the evidence
 // and quality gates, deterministically ordered. Failed points are never
-// evidence.
-func Fit(points []dataset.Point, cfg Config) []GroupFit {
+// evidence. Fits come from memo where it holds the group (nil computes
+// every group afresh); their MeasuredNodes may be shared and are read-only.
+func Fit(memo *Fits, points []dataset.Point, cfg Config) []GroupFit {
 	var out []GroupFit
+	for _, fit := range fitted(memo, points, cfg) {
+		out = append(out, *fit)
+	}
+	return out
+}
+
+// fitted is Fit without copying the fits out of the memo: the results are
+// shared and read-only.
+func fitted(memo *Fits, points []dataset.Point, cfg Config) []*GroupFit {
+	var out []*GroupFit
 	for _, g := range groupPoints(points) {
-		if fit, ok := fitGroup(g, cfg); ok {
+		if fit := memo.fit(&g, cfg); fit != nil {
 			out = append(out, fit)
 		}
 	}
@@ -343,20 +319,40 @@ func predictedID(g *GroupFit, n int) string {
 	return fmt.Sprintf("%s%s-%s-n%02d-%s-%08x", PredictedIDPrefix, g.AppName, g.SKUAlias, n, g.Model, h.Sum32())
 }
 
-// synthesize builds the predicted rows of one fitted group across the grid,
-// skipping measured node counts and unpriceable or degenerate predictions.
-func synthesize(g *GroupFit, grid []int, cfg Config) []Row {
-	measured := make(map[int]bool, len(g.MeasuredNodes))
-	for _, n := range g.MeasuredNodes {
-		measured[n] = true
+// predictionGrid is the grid predictions are synthesized across: the
+// configured one, or DefaultGrid, with non-positive and repeated node counts
+// dropped (the first occurrence keeps its place).
+func predictionGrid(points []dataset.Point, cfg Config) []int {
+	if len(cfg.Grid) == 0 {
+		return DefaultGrid(points)
 	}
-	var out []Row
-	done := make(map[int]bool, len(grid))
+	out := make([]int, 0, len(cfg.Grid))
+	for _, n := range cfg.Grid {
+		if n >= 1 && !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// prediction is one synthesized (group, node count) estimate: its time and
+// cost, which place it on a front, and its time interval. row dresses it as
+// a Row.
+type prediction struct {
+	fit        *GroupFit
+	nodes      int
+	time, cost float64
+	lo, hi     float64
+}
+
+// predictions appends one fitted group's predictions across grid (see
+// predictionGrid), skipping measured node counts and unpriceable or
+// degenerate predictions.
+func predictions(dst []prediction, g *GroupFit, grid []int, cfg Config) []prediction {
 	for _, n := range grid {
-		if n < 1 || measured[n] || done[n] {
+		if _, measured := slices.BinarySearch(g.MeasuredNodes, n); measured {
 			continue
 		}
-		done[n] = true
 		predTime := g.Predict(n)
 		if predTime <= 0 || math.IsNaN(predTime) || math.IsInf(predTime, 0) {
 			continue
@@ -377,30 +373,51 @@ func synthesize(g *GroupFit, grid []int, cfg Config) []Row {
 			lo = 0
 		}
 		hi := predTime + cfg.intervalZ()*g.ResidSD
-		costLo, _ := cfg.Prices.Cost(cfg.Region, g.SKU, n, lo)
-		costHi, _ := cfg.Prices.Cost(cfg.Region, g.SKU, n, hi)
-		out = append(out, Row{
-			Point: dataset.Point{
-				ScenarioID:  predictedID(g, n),
-				AppName:     g.AppName,
-				SKU:         g.SKU,
-				SKUAlias:    g.SKUAlias,
-				NNodes:      n,
-				PPN:         g.PPN,
-				AppInput:    g.AppInput,
-				InputDesc:   g.InputDesc,
-				Tags:        g.Tags,
-				ExecTimeSec: predTime,
-				CostUSD:     cost,
-			},
-			Predicted: true,
-			Model:     g.Model,
-			R2:        g.R2,
-			TimeLoSec: lo,
-			TimeHiSec: hi,
-			CostLoUSD: costLo,
-			CostHiUSD: costHi,
-		})
+		dst = append(dst, prediction{fit: g, nodes: n, time: predTime, cost: cost, lo: lo, hi: hi})
+	}
+	return dst
+}
+
+// row renders the prediction as a marked Row, its interval priced like the
+// point estimate.
+func (p *prediction) row(cfg Config) Row {
+	g := p.fit
+	costLo, _ := cfg.Prices.Cost(cfg.Region, g.SKU, p.nodes, p.lo)
+	costHi, _ := cfg.Prices.Cost(cfg.Region, g.SKU, p.nodes, p.hi)
+	return Row{
+		Point: dataset.Point{
+			ScenarioID:  predictedID(g, p.nodes),
+			AppName:     g.AppName,
+			SKU:         g.SKU,
+			SKUAlias:    g.SKUAlias,
+			NNodes:      p.nodes,
+			PPN:         g.PPN,
+			AppInput:    g.AppInput,
+			InputDesc:   g.InputDesc,
+			Tags:        g.Tags,
+			ExecTimeSec: p.time,
+			CostUSD:     p.cost,
+		},
+		Predicted: true,
+		Model:     g.Model,
+		R2:        g.R2,
+		TimeLoSec: p.lo,
+		TimeHiSec: p.hi,
+		CostLoUSD: costLo,
+		CostHiUSD: costHi,
+	}
+}
+
+// allPredictions synthesizes every fitted group's predictions, in Fit
+// order; nil when no price book or region is configured.
+func allPredictions(memo *Fits, points []dataset.Point, cfg Config) []prediction {
+	if cfg.Prices == nil || cfg.Region == "" {
+		return nil
+	}
+	grid := predictionGrid(points, cfg)
+	var out []prediction
+	for _, fit := range fitted(memo, points, cfg) {
+		out = predictions(out, fit, grid, cfg)
 	}
 	return out
 }
@@ -409,7 +426,7 @@ func synthesize(g *GroupFit, grid []int, cfg Config) []Row {
 // node count a group never measured. Measured rows always win: predictions
 // only fill holes, so on a fully measured grid Rows returns exactly the
 // measured data and no phantom rows.
-func Rows(points []dataset.Point, cfg Config) []Row {
+func Rows(memo *Fits, points []dataset.Point, cfg Config) []Row {
 	var out []Row
 	for _, p := range points {
 		if p.Failed {
@@ -417,51 +434,77 @@ func Rows(points []dataset.Point, cfg Config) []Row {
 		}
 		out = append(out, Row{Point: p})
 	}
-	if cfg.Prices == nil || cfg.Region == "" {
-		return out
-	}
-	grid := cfg.Grid
-	if len(grid) == 0 {
-		grid = DefaultGrid(points)
-	}
-	fits := Fit(points, cfg)
-	for i := range fits {
-		out = append(out, synthesize(&fits[i], grid, cfg)...)
+	preds := allPredictions(memo, points, cfg)
+	for i := range preds {
+		out = append(out, preds[i].row(cfg))
 	}
 	return out
 }
 
-// Advice merges measured and predicted rows and returns their Pareto front
-// in the requested order — the engine behind "advice -predict". Predicted
-// rows on the front keep their marking and intervals.
-func Advice(points []dataset.Point, cfg Config, order pareto.SortOrder) []Row {
-	rows := Rows(points, cfg)
-	// Rows are correlated back to front points by (ID, time, cost), not ID
-	// alone: a dataset can legitimately carry duplicate scenario IDs with
+// Advice returns the Pareto front of Rows in the requested order — the
+// engine behind "advice -predict". Predicted rows on the front keep their
+// marking and intervals. The front is computed over (time, cost) columns
+// and only its entries become Rows.
+func Advice(memo *Fits, points []dataset.Point, cfg Config, order pareto.SortOrder) []Row {
+	preds := allPredictions(memo, points, cfg)
+	// Position i < len(points) is measured point i; the rest are
+	// predictions, in the order Rows lists them.
+	n := len(points) + len(preds)
+	times := make([]float64, n)
+	costs := make([]float64, n)
+	cand := make([]int32, 0, n)
+	for i := range points {
+		times[i], costs[i] = points[i].ExecTimeSec, points[i].CostUSD
+		if !points[i].Failed {
+			cand = append(cand, int32(i))
+		}
+	}
+	for j := range preds {
+		i := len(points) + j
+		times[i], costs[i] = preds[j].time, preds[j].cost
+		cand = append(cand, int32(i))
+	}
+	front := dataset.Skyline(cand, times, costs)
+	id := func(i int) string {
+		if i < len(points) {
+			return points[i].ScenarioID
+		}
+		return predictedID(preds[i-len(points)].fit, preds[i-len(points)].nodes)
+	}
+	// Rows are correlated back to front entries by (ID, time, cost), not by
+	// position: a dataset can legitimately carry duplicate scenario IDs with
 	// different measurements (re-collections, merged datasets), and the
-	// front row must keep the values the Pareto computation actually kept.
-	byKey := make(map[rowKey]Row, len(rows))
-	pts := make([]dataset.Point, len(rows))
-	for i, r := range rows {
-		pts[i] = r.Point
-		byKey[keyOf(&r.Point)] = r
+	// front row is the last row with the entry's (ID, time, cost). Front
+	// times strictly rise, so each row finds its entry's slot by binary
+	// search.
+	src := make([]int, len(front))
+	frontID := make([]string, len(front))
+	for s, i := range front {
+		frontID[s] = id(int(i))
 	}
-	front := pareto.Advice(pts, order)
+	for i := 0; i < n; i++ {
+		if i < len(points) && points[i].Failed {
+			continue
+		}
+		s, found := slices.BinarySearchFunc(front, times[i], func(f int32, t float64) int {
+			return cmp.Compare(times[f], t)
+		})
+		if found && costs[front[s]] == costs[i] && id(i) == frontID[s] {
+			src[s] = i
+		}
+	}
 	out := make([]Row, len(front))
-	for i, p := range front {
-		out[i] = byKey[keyOf(&p)]
+	for s, i := range src {
+		if i < len(points) {
+			out[s] = Row{Point: points[i]}
+		} else {
+			out[s] = preds[i-len(points)].row(cfg)
+		}
+	}
+	if order == pareto.ByCost {
+		slices.Reverse(out)
 	}
 	return out
-}
-
-type rowKey struct {
-	id   string
-	time float64
-	cost float64
-}
-
-func keyOf(p *dataset.Point) rowKey {
-	return rowKey{id: p.ScenarioID, time: p.ExecTimeSec, cost: p.CostUSD}
 }
 
 // FormatAdviceTable renders merged advice like the paper's Listings 3-4 plus

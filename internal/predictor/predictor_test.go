@@ -47,7 +47,7 @@ func amdahlSweep(t *testing.T, nodes []int) []dataset.Point {
 }
 
 func TestFitSelectsAmdahlOnAmdahlData(t *testing.T) {
-	fits := Fit(amdahlSweep(t, []int{1, 2, 4, 8, 16}), testConfig())
+	fits := Fit(nil, amdahlSweep(t, []int{1, 2, 4, 8, 16}), testConfig())
 	if len(fits) != 1 {
 		t.Fatalf("fits = %d, want 1", len(fits))
 	}
@@ -75,7 +75,7 @@ func TestFitSelectsPowerLawOnPowerLawData(t *testing.T) {
 		p.ExecTimeSec = 900 * math.Pow(float64(n), -0.6)
 		pts = append(pts, p)
 	}
-	fits := Fit(pts, testConfig())
+	fits := Fit(nil, pts, testConfig())
 	if len(fits) != 1 {
 		t.Fatalf("fits = %d, want 1", len(fits))
 	}
@@ -91,7 +91,7 @@ func TestFitSelectsPowerLawOnPowerLawData(t *testing.T) {
 func TestFitGates(t *testing.T) {
 	cfg := testConfig()
 	// Too few distinct node counts.
-	if fits := Fit(amdahlSweep(t, []int{1, 2}), cfg); len(fits) != 0 {
+	if fits := Fit(nil, amdahlSweep(t, []int{1, 2}), cfg); len(fits) != 0 {
 		t.Errorf("2 node counts passed the evidence gate: %d fits", len(fits))
 	}
 	// Noise that no scaling model explains fails the R² gate.
@@ -100,7 +100,7 @@ func TestFitGates(t *testing.T) {
 	noisy[1].ExecTimeSec = 4000
 	noisy[2].ExecTimeSec = 17
 	noisy[3].ExecTimeSec = 2500
-	if fits := Fit(noisy, cfg); len(fits) != 0 {
+	if fits := Fit(nil, noisy, cfg); len(fits) != 0 {
 		t.Errorf("noise passed the R² gate: %+v", fits)
 	}
 	// Failed points are not evidence.
@@ -111,7 +111,7 @@ func TestFitGates(t *testing.T) {
 		p.ExecTimeSec = 0
 		failed = append(failed, p)
 	}
-	if fits := Fit(failed, cfg); len(fits) != 0 {
+	if fits := Fit(nil, failed, cfg); len(fits) != 0 {
 		t.Errorf("failed points counted as evidence: %d fits", len(fits))
 	}
 }
@@ -120,7 +120,7 @@ func TestRowsFillOnlyHoles(t *testing.T) {
 	pts := amdahlSweep(t, []int{1, 2, 4, 8})
 	cfg := testConfig()
 	cfg.Grid = []int{1, 2, 4, 8, 16, 32}
-	rows := Rows(pts, cfg)
+	rows := Rows(nil, pts, cfg)
 	var predicted []Row
 	for _, r := range rows {
 		if r.Predicted {
@@ -168,7 +168,7 @@ func TestConsistencyFullyMeasuredGridMatchesMeasuredAdvice(t *testing.T) {
 	cfg.Grid = []int{1, 2, 4, 8, 16}
 	for _, order := range []pareto.SortOrder{pareto.ByTime, pareto.ByCost} {
 		measured := pareto.Advice(pts, order)
-		merged := Advice(pts, cfg, order)
+		merged := Advice(nil, pts, cfg, order)
 		if len(merged) != len(measured) {
 			t.Fatalf("merged advice = %d rows, measured = %d", len(merged), len(measured))
 		}
@@ -190,7 +190,7 @@ func TestAdviceMergesPredictedBeyondSweep(t *testing.T) {
 	pts := amdahlSweep(t, []int{1, 2, 4, 8})
 	cfg := testConfig()
 	cfg.Grid = []int{1, 2, 4, 8, 16, 32}
-	merged := Advice(pts, cfg, pareto.ByTime)
+	merged := Advice(nil, pts, cfg, pareto.ByTime)
 	var sawPredicted bool
 	for _, r := range merged {
 		if r.Predicted {
@@ -213,7 +213,7 @@ func TestFormatAdviceTableMarksPredicted(t *testing.T) {
 	pts := amdahlSweep(t, []int{1, 2, 4, 8})
 	cfg := testConfig()
 	cfg.Grid = []int{16}
-	table := FormatAdviceTable(Advice(pts, cfg, pareto.ByTime))
+	table := FormatAdviceTable(Advice(nil, pts, cfg, pareto.ByTime))
 	if !strings.Contains(table, "Source") {
 		t.Errorf("table lacks Source column:\n%s", table)
 	}
@@ -227,7 +227,7 @@ func TestFormatAdviceTableMarksPredicted(t *testing.T) {
 
 func TestRowsWithoutPricesAreMeasuredOnly(t *testing.T) {
 	pts := amdahlSweep(t, []int{1, 2, 4, 8})
-	rows := Rows(pts, Config{Grid: []int{16, 32}})
+	rows := Rows(nil, pts, Config{Grid: []int{16, 32}})
 	for _, r := range rows {
 		if r.Predicted {
 			t.Fatalf("prediction without a price book: %+v", r)
@@ -271,7 +271,7 @@ func TestBacktestOnCleanModelData(t *testing.T) {
 	// of the selected model) must be tiny; the power law cannot track the
 	// serial floor as well.
 	pts := amdahlSweep(t, []int{1, 2, 4, 8, 16, 32})
-	rep := Backtest(pts, testConfig())
+	rep := Backtest(nil, pts, testConfig())
 	if rep.Groups != 1 {
 		t.Fatalf("groups = %d", rep.Groups)
 	}
@@ -290,7 +290,7 @@ func TestBacktestOnCleanModelData(t *testing.T) {
 }
 
 func TestBacktestInsufficientData(t *testing.T) {
-	rep := Backtest(amdahlSweep(t, []int{1, 2}), testConfig())
+	rep := Backtest(nil, amdahlSweep(t, []int{1, 2}), testConfig())
 	if rep.Held != 0 || rep.Groups != 0 {
 		t.Errorf("report = %+v", rep)
 	}
@@ -312,7 +312,7 @@ func TestIntervalGateDropsSwallowedPredictions(t *testing.T) {
 	// Perfect fits have zero residuals and survive any multiplier; perturb
 	// one point so ResidSD > 0.
 	pts[0].ExecTimeSec *= 1.02
-	if rows := Rows(pts, cfg); len(rows) != len(pts) {
+	if rows := Rows(nil, pts, cfg); len(rows) != len(pts) {
 		for _, r := range rows {
 			if r.Predicted {
 				t.Errorf("swallowed prediction served: %+v interval [%v, %v]", r.Point, r.TimeLoSec, r.TimeHiSec)
@@ -335,7 +335,7 @@ func TestPredictedIDsUniqueAcrossInputs(t *testing.T) {
 	cfg := testConfig()
 	cfg.Grid = []int{16, 32}
 	seen := make(map[string]string)
-	for _, r := range Rows(pts, cfg) {
+	for _, r := range Rows(nil, pts, cfg) {
 		if !r.Predicted {
 			continue
 		}
@@ -356,7 +356,7 @@ func TestSynthesizeDedupesGridRepeats(t *testing.T) {
 	cfg := testConfig()
 	cfg.Grid = []int{16, 16, 32, 32, 32}
 	var predicted int
-	for _, r := range Rows(pts, cfg) {
+	for _, r := range Rows(nil, pts, cfg) {
 		if r.Predicted {
 			predicted++
 		}
@@ -375,7 +375,7 @@ func TestBacktestSelectedMAPERespectsQualityGate(t *testing.T) {
 	for i := range pts {
 		pts[i].ExecTimeSec = times[i]
 	}
-	rep := Backtest(pts, testConfig())
+	rep := Backtest(nil, pts, testConfig())
 	if rep.Groups != 1 {
 		t.Fatalf("groups = %d", rep.Groups)
 	}
@@ -401,13 +401,13 @@ func TestBacktestCoversGroupsFitWouldServe(t *testing.T) {
 	cfg := testConfig()
 	cfg.Grid = []int{8}
 	served := false
-	for _, r := range Rows(pts, cfg) {
+	for _, r := range Rows(nil, pts, cfg) {
 		served = served || r.Predicted
 	}
 	if !served {
 		t.Fatal("fixture not served predictions; test premise broken")
 	}
-	rep := Backtest(pts, cfg)
+	rep := Backtest(nil, pts, cfg)
 	if rep.Groups != 1 {
 		t.Errorf("groups = %d, want 1 (Fit serves this group)", rep.Groups)
 	}
@@ -426,7 +426,7 @@ func TestAdviceKeepsValuesOfDuplicateIDs(t *testing.T) {
 	dup.ExecTimeSec *= 2
 	dup.CostUSD *= 2
 	pts = append(pts, dup)
-	rows := Advice(pts, Config{}, pareto.ByTime)
+	rows := Advice(nil, pts, Config{}, pareto.ByTime)
 	want := pareto.Advice(pts, pareto.ByTime)
 	if len(rows) != len(want) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(want))
@@ -447,7 +447,7 @@ func TestOverlayCurveCoversGridBelowMeasuredRange(t *testing.T) {
 	cfg.Grid = []int{1, 2, 4, 8, 16, 32}
 	store := dataset.NewStore()
 	store.AddAll(pts)
-	over := Overlay(plot.BuildSet(store, dataset.Filter{}), pts, cfg)
+	over := Overlay(nil, plot.BuildSet(store, dataset.Filter{}), pts, cfg)
 	series := over.ExecTimeVsNodes.Series
 	curve := series[len(series)-1]
 	if !curve.Dashed {

@@ -52,6 +52,8 @@ type Engine struct {
 	lru      *list.List               // guarded-by: mu; front = most recently used
 	inflight map[string]*call         // guarded-by: mu
 	stats    Stats                    // guarded-by: mu
+	fits     *predictor.Fits          // guarded-by: mu; group fits of generation fitsGen
+	fitsGen  uint64                   // guarded-by: mu
 }
 
 type entry struct {
@@ -298,6 +300,29 @@ func (e *Engine) SVGAt(sn *dataset.Snapshot, name string, f dataset.Filter) ([]b
 	return v.([]byte), nil
 }
 
+// fitsAt returns the group-fit memo that predictions over filter f at
+// snapshot sn read through. The engine keeps one memo, for the newest
+// generation it has served, and replaces it when the generation rolls, as
+// snapshots replace their hot fronts; it never holds more entries than the
+// snapshot has groups. A filter with node bounds or tags can cut a
+// group short, so it gets a throwaway (nil) memo, as does a request pinned
+// to a generation the memo has moved past.
+func (e *Engine) fitsAt(sn *dataset.Snapshot, f dataset.Filter) *predictor.Fits {
+	if f.MinNodes > 0 || f.MaxNodes > 0 || len(f.Tags) > 0 {
+		return nil
+	}
+	gen := sn.Generation()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case e.fits == nil || gen > e.fitsGen:
+		e.fits, e.fitsGen = predictor.NewFits(sn), gen
+	case gen < e.fitsGen:
+		return nil
+	}
+	return e.fits
+}
+
 // predictedAdviceAt memoizes the merged measured+predicted front at one
 // captured snapshot; the shared cached slice must not be modified. The key
 // adds the predictor configuration: distinct grids, gates, or regions cache
@@ -306,7 +331,7 @@ func (e *Engine) SVGAt(sn *dataset.Snapshot, name string, f dataset.Filter) ([]b
 func (e *Engine) predictedAdviceAt(sn *dataset.Snapshot, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
 	c := f.Canonical()
 	v := e.get(key("predadvice", sn.Generation(), &c, orderKey(order)+"|"+cfg.Key()), func() any {
-		return predictor.Advice(sn.Select(f), cfg, order)
+		return predictor.Advice(e.fitsAt(sn, f), sn.Select(f), cfg, order)
 	})
 	return v.([]predictor.Row)
 }
@@ -345,16 +370,17 @@ func (e *Engine) PredictedAdviceTableAt(sn *dataset.Snapshot, f dataset.Filter, 
 }
 
 // Backtest runs the predictor's leave-one-out backtest over the filtered
-// dataset, memoized per (filter, config, generation).
+// dataset, memoized per (filter, fit parameters, generation).
 func (e *Engine) Backtest(f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
 	return e.BacktestAt(e.src.Snapshot(), f, cfg)
 }
 
-// BacktestAt is Backtest pinned to one snapshot (see AdviceAt).
+// BacktestAt is Backtest pinned to one snapshot (see AdviceAt). The report
+// reads only the fit parameters, so grids and regions share one entry.
 func (e *Engine) BacktestAt(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
 	c := f.Canonical()
-	v := e.get(key("backtest", sn.Generation(), &c, cfg.Key()), func() any {
-		return predictor.Backtest(sn.Select(f), cfg)
+	v := e.get(key("backtest", sn.Generation(), &c, cfg.FitKey()), func() any {
+		return predictor.Backtest(e.fitsAt(sn, f), sn.Select(f), cfg)
 	})
 	return v.(predictor.BacktestReport)
 }
@@ -365,7 +391,7 @@ func (e *Engine) BacktestAt(sn *dataset.Snapshot, f dataset.Filter, cfg predicto
 func (e *Engine) predictedPlotSetAt(sn *dataset.Snapshot, f dataset.Filter, cfg predictor.Config) plot.Set {
 	c := f.Canonical()
 	v := e.get(key("predplots", sn.Generation(), &c, cfg.Key()), func() any {
-		return predictor.Overlay(e.plotSetAt(sn, f), sn.Select(f), cfg)
+		return predictor.Overlay(e.fitsAt(sn, f), e.plotSetAt(sn, f), sn.Select(f), cfg)
 	})
 	return v.(plot.Set)
 }

@@ -85,13 +85,13 @@ func TestPredictedAdviceEquivalentToDirectPredictor(t *testing.T) {
 	f := dataset.Filter{AppName: "lammps"}
 	cfg := predictedConfig(1, 2, 4, 8, 16, 32)
 	for _, order := range []pareto.SortOrder{pareto.ByTime, pareto.ByCost} {
-		want := predictor.FormatAdviceTable(predictor.Advice(store.Select(f), cfg, order))
+		want := predictor.FormatAdviceTable(predictor.Advice(nil, store.Select(f), cfg, order))
 		got := e.PredictedAdviceTable(f, order, cfg)
 		if got != want {
 			t.Errorf("engine table diverges from direct predictor:\n--- engine\n%s--- direct\n%s", got, want)
 		}
 	}
-	wantBack := predictor.Backtest(store.Select(f), cfg)
+	wantBack := predictor.Backtest(nil, store.Select(f), cfg)
 	if gotBack := e.Backtest(f, cfg); gotBack != wantBack {
 		t.Errorf("engine backtest = %+v, direct = %+v", gotBack, wantBack)
 	}

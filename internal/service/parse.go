@@ -25,7 +25,8 @@ import (
 //	maxnodes   maximum node count (integer >= 1)
 //	sort       "time" (default) or "cost"
 //	region     pricing region for predictions (default southcentralus)
-//	grid       prediction node counts, comma-separated integers >= 1
+//	grid       prediction node counts, comma-separated integers in
+//	           [1, MaxGridNodes], at most MaxGridEntries of them
 //	pred       "1"/"true" overlays predictions on plots
 
 // ParseFilter builds the canonical dataset filter from query parameters.
@@ -71,17 +72,32 @@ func ParseOrder(s string) (pareto.SortOrder, error) {
 	return pareto.ByTime, BadRequestf("unknown sort %q (want time or cost)", s)
 }
 
-// ParseGrid parses the prediction grid: comma-separated node counts >= 1.
-// Empty means "derive from the measured data".
+// Grid bounds: a request's prediction work and response size grow with the
+// grid, so a client may ask for at most MaxGridEntries node counts, each at
+// most MaxGridNodes.
+const (
+	MaxGridEntries = 64
+	MaxGridNodes   = 4096
+)
+
+// ParseGrid parses the prediction grid: comma-separated node counts in
+// [1, MaxGridNodes], at most MaxGridEntries of them. Empty means "derive
+// from the measured data".
 func ParseGrid(spec string) ([]int, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
+	}
+	if entries := strings.Count(spec, ",") + 1; entries > MaxGridEntries {
+		return nil, BadRequestf("grid has %d entries: want at most %d", entries, MaxGridEntries)
 	}
 	var out []int
 	for _, field := range strings.Split(spec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(field))
 		if err != nil || n < 1 {
 			return nil, BadRequestf("invalid grid %q: want comma-separated node counts >= 1", spec)
+		}
+		if n > MaxGridNodes {
+			return nil, BadRequestf("grid node count %d exceeds %d", n, MaxGridNodes)
 		}
 		out = append(out, n)
 	}

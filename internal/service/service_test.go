@@ -92,7 +92,10 @@ func TestParseOrderAndGrid(t *testing.T) {
 	if g, err := ParseGrid("  "); err != nil || g != nil {
 		t.Fatalf("blank grid = %v, %v", g, err)
 	}
-	for _, bad := range []string{"1,zero", "0", "-3", "1,,2"} {
+	if g, err := ParseGrid("1,4096"); err != nil || !reflect.DeepEqual(g, []int{1, MaxGridNodes}) {
+		t.Fatalf("grid at the node cap = %v, %v", g, err)
+	}
+	for _, bad := range []string{"1,zero", "0", "-3", "1,,2", "4097", strings.Repeat("1,", MaxGridEntries) + "1"} {
 		if _, err := ParseGrid(bad); KindOf(err) != KindBadRequest {
 			t.Fatalf("grid %q kind = %v, want bad request", bad, KindOf(err))
 		}
