@@ -902,7 +902,7 @@ func BenchmarkAdviceQueryThroughput(b *testing.B) {
 		eng := queryengine.New(store, 0)
 		return func(i int) error {
 			f := queryBenchFilters[i%len(queryBenchFilters)]
-			if eng.AdviceTable(f, pareto.ByTime) == "" {
+			if eng.AdviceTable(eng.Snapshot(), f, pareto.ByTime) == "" {
 				return fmt.Errorf("empty advice")
 			}
 			return nil
@@ -1059,7 +1059,7 @@ func BenchmarkHotFrontServe(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			store.Add(appendPoint(i))
-			if len(eng.Advice(filters[i%len(filters)], pareto.ByTime)) == 0 {
+			if len(eng.Advice(eng.Snapshot(), filters[i%len(filters)], pareto.ByTime)) == 0 {
 				b.Fatal("empty advice")
 			}
 		}
@@ -1194,7 +1194,8 @@ func BenchmarkPredictedAdviceThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			grid := predictor.Config{Prices: cfg.Prices, Region: cfg.Region, Grid: []int{3, 5, 32 + i}}
-			if len(eng.PredictedAdvice(f, pareto.ByTime, grid)) == 0 || eng.Backtest(f, grid).Groups == 0 {
+			sn := eng.Snapshot()
+			if len(eng.PredictedAdvice(sn, f, pareto.ByTime, grid)) == 0 || eng.Backtest(sn, f, grid).Groups == 0 {
 				b.Fatal("empty predicted advice or backtest")
 			}
 		}
@@ -1220,7 +1221,7 @@ func BenchmarkPredictedAdviceThroughput(b *testing.B) {
 					f := filters[int(i)%len(filters)]
 					// The table always carries a header; require actual
 					// predicted content so a gate regression fails the bench.
-					if !strings.Contains(eng.PredictedAdviceTable(f, pareto.ByTime, cfg), "predicted/") {
+					if !strings.Contains(eng.PredictedAdviceTable(eng.Snapshot(), f, pareto.ByTime, cfg), "predicted/") {
 						atomic.StoreInt32(&failed, 1)
 						return
 					}
@@ -1481,7 +1482,7 @@ func BenchmarkAPIServeThroughput(b *testing.B) {
 						return
 					}
 					f := queryBenchFilters[int(i)%len(queryBenchFilters)]
-					if eng.AdviceTable(f, pareto.ByTime) == "" {
+					if eng.AdviceTable(eng.Snapshot(), f, pareto.ByTime) == "" {
 						panic("empty advice")
 					}
 				}

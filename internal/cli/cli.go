@@ -662,16 +662,12 @@ func (c *CLI) cmdAdvice(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := svc.PredictedAdvice(req)
+		res, table, _, err := svc.PredictedAdvicePage(req)
 		if err != nil {
 			return err
 		}
 		if len(res.Rows) == 0 {
 			return fmt.Errorf("no data matches the filter; run 'hpcadvisor collect' first")
-		}
-		table, err := svc.PredictedAdviceTable(req)
-		if err != nil {
-			return err
 		}
 		fmt.Fprint(c.Stdout, table)
 		for _, r := range res.Rows {
@@ -688,16 +684,12 @@ func (c *CLI) cmdAdvice(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := svc.Advice(req)
+		res, table, err := svc.AdvicePage(req)
 		if err != nil {
 			return err
 		}
 		if len(res.Rows) == 0 {
 			return fmt.Errorf("no data matches the filter; run 'hpcadvisor collect' first")
-		}
-		table, err := svc.AdviceTable(req)
-		if err != nil {
-			return err
 		}
 		fmt.Fprint(c.Stdout, table)
 		recipeRows = res.Rows
@@ -745,24 +737,16 @@ func (c *CLI) cmdPredict(args []string) error {
 	}
 	defer adv.CloseStore()
 	svc := service.New(adv)
-	res, err := svc.PredictedAdvice(req)
+	res, table, backtest, err := svc.PredictedAdvicePage(req)
 	if err != nil {
 		return err
 	}
 	if len(res.Rows) == 0 {
 		return fmt.Errorf("no data matches the filter; run 'hpcadvisor collect' first")
 	}
-	table, err := svc.PredictedAdviceTable(req)
-	if err != nil {
-		return err
-	}
 	fmt.Fprint(c.Stdout, table)
 	fmt.Fprintln(c.Stdout)
-	bt, err := svc.Backtest(req)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(c.Stdout, bt.Report.String())
+	fmt.Fprintln(c.Stdout, backtest.String())
 	return nil
 }
 

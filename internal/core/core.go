@@ -421,26 +421,40 @@ func (a *Advisor) SetTaskList(deploymentName string, list *scenario.List) {
 // (Section III-D's four plots plus the Figure 6 Pareto scatter).
 type PlotSet = plot.Set
 
+// pin returns the query engine and the one snapshot a facade call reads
+// at, so everything the call returns comes from a single generation.
+func (a *Advisor) pin() (*queryengine.Engine, *dataset.Snapshot) {
+	eng := a.Engine()
+	return eng, eng.Snapshot()
+}
+
 // Plots computes the plot set over the dataset (Table II: "plot"), served
 // and memoized by the query engine.
 func (a *Advisor) Plots(f dataset.Filter) PlotSet {
-	return a.Engine().PlotSet(f)
+	eng, sn := a.pin()
+	return eng.PlotSet(sn, f)
 }
 
 // WritePlotsSVG renders the plot set into dir and returns the file paths.
 // When using the CLI, "the plots are generated in the current folder"
-// (paper Section III-D).
+// (paper Section III-D). All five files are rendered from one snapshot, so
+// an append landing mid-call cannot mix generations across the set.
 func (a *Advisor) WritePlotsSVG(dir string, f dataset.Filter) ([]string, error) {
-	eng := a.Engine()
-	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.SVG(name, f) })
+	eng, sn := a.pin()
+	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.SVG(sn, name, f) })
 }
 
 // WritePredictedPlotsSVG renders the overlaid plot set into dir and returns
-// the file paths, served from the engine's predicted-SVG cache.
+// the file paths, served from the engine's predicted-SVG cache and, like
+// WritePlotsSVG, from one snapshot.
 func (a *Advisor) WritePredictedPlotsSVG(dir string, f dataset.Filter, cfg predictor.Config) ([]string, error) {
-	eng := a.Engine()
-	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.PredictedSVG(name, f, cfg) })
+	eng, sn := a.pin()
+	return writeSVGs(dir, func(name string) ([]byte, error) { return eng.PredictedSVG(sn, name, f, cfg) })
 }
+
+// testHookRendered, when set, runs after each plot of a set is rendered;
+// tests use it to append to the store between renders.
+var testHookRendered func()
 
 // writeSVGs renders every plot of the set through render and writes one
 // .svg file per canonical plot name into dir. Writes are atomic
@@ -457,6 +471,9 @@ func writeSVGs(dir string, render func(name string) ([]byte, error)) ([]string, 
 		if err != nil {
 			return nil, err
 		}
+		if testHookRendered != nil {
+			testHookRendered()
+		}
 		path := filepath.Join(dir, name+".svg")
 		if err := fsatomic.WriteFile(path, data, 0o644); err != nil {
 			return nil, err
@@ -470,12 +487,14 @@ func writeSVGs(dir string, render func(name string) ([]byte, error)) ([]string, 
 // execution time or cost (Table II: "advice"; Section III-E), served and
 // memoized by the query engine.
 func (a *Advisor) Advice(f dataset.Filter, order pareto.SortOrder) []dataset.Point {
-	return a.Engine().Advice(f, order)
+	eng, sn := a.pin()
+	return eng.Advice(sn, f, order)
 }
 
 // AdviceTable renders the advice exactly as the paper's Listings 3-4.
 func (a *Advisor) AdviceTable(f dataset.Filter, order pareto.SortOrder) string {
-	return a.Engine().AdviceTable(f, order)
+	eng, sn := a.pin()
+	return eng.AdviceTable(sn, f, order)
 }
 
 // PredictorConfig builds the predictor configuration for this advisor's
@@ -495,24 +514,28 @@ func (a *Advisor) PredictorConfig(region string, grid []int) predictor.Config {
 // point — and stays visibly marked when it does. Served and memoized by the
 // query engine.
 func (a *Advisor) PredictedAdvice(f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []predictor.Row {
-	return a.Engine().PredictedAdvice(f, order, cfg)
+	eng, sn := a.pin()
+	return eng.PredictedAdvice(sn, f, order, cfg)
 }
 
 // PredictedAdviceTable renders the merged advice with Source markings.
 func (a *Advisor) PredictedAdviceTable(f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) string {
-	return a.Engine().PredictedAdviceTable(f, order, cfg)
+	eng, sn := a.pin()
+	return eng.PredictedAdviceTable(sn, f, order, cfg)
 }
 
 // PredictedPlots computes the plot set with predicted overlays (fitted
 // curves and interval bands) on the exectime and cost plots.
 func (a *Advisor) PredictedPlots(f dataset.Filter, cfg predictor.Config) PlotSet {
-	return a.Engine().PredictedPlotSet(f, cfg)
+	eng, sn := a.pin()
+	return eng.PredictedPlotSet(sn, f, cfg)
 }
 
 // Backtest reports the predictor's leave-one-out accuracy per model family
 // over the filtered dataset.
 func (a *Advisor) Backtest(f dataset.Filter, cfg predictor.Config) predictor.BacktestReport {
-	return a.Engine().Backtest(f, cfg)
+	eng, sn := a.pin()
+	return eng.Backtest(sn, f, cfg)
 }
 
 // RepriceAdvice recomputes scenario costs under different pricing terms —
@@ -522,7 +545,7 @@ func (a *Advisor) Backtest(f dataset.Filter, cfg predictor.Config) predictor.Bac
 // what-if questions a user has after one collection: "what would the advice
 // be in westeurope?", "what if I run production on spot?".
 func (a *Advisor) RepriceAdvice(f dataset.Filter, order pareto.SortOrder, region string, spot bool) ([]dataset.Point, error) {
-	pts := a.Engine().Select(f)
+	pts := a.Engine().Snapshot().Select(f)
 	// A sweep has few distinct VM types but many points per type: look each
 	// SKU's hourly rate up once, not once per point.
 	rates := make(map[string]float64)

@@ -12,7 +12,6 @@ import (
 )
 
 func BenchmarkParallelSelect(b *testing.B) {
-	defer SetSelectParallelism(0)
 	rng := rand.New(rand.NewSource(1))
 	s := randomStore(rng, 200_000)
 	sn := s.Snapshot()
@@ -21,11 +20,10 @@ func BenchmarkParallelSelect(b *testing.B) {
 	wantApp, wantScan := len(sn.Select(oneApp)), len(sn.Select(scan))
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		SetSelectParallelism(workers)
 		b.Run(fmt.Sprintf("one-app/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := sn.Select(oneApp); len(got) != wantApp {
+				if got := selectWith(sn, oneApp, workers); len(got) != wantApp {
 					b.Fatalf("row count changed: %d", len(got))
 				}
 			}
@@ -33,7 +31,7 @@ func BenchmarkParallelSelect(b *testing.B) {
 		b.Run(fmt.Sprintf("scan/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := sn.Select(scan); len(got) != wantScan {
+				if got := selectWith(sn, scan, workers); len(got) != wantScan {
 					b.Fatalf("row count changed: %d", len(got))
 				}
 			}

@@ -7,12 +7,17 @@ import (
 	"testing"
 )
 
-// The parallel partitioned select's contract: output byte-identical to the
-// sequential path (and so to the SelectScan oracle) for every filter, at
+// The partitioned select's contract: output byte-identical to the
+// single-chunk run (and so to the SelectScan oracle) for every filter, at
 // every worker count, including under concurrent use.
 
+// selectWith runs Select at a pinned worker count.
+func selectWith(sn *Snapshot, f Filter, workers int) []Point {
+	c := f.Canonical()
+	return sn.selectCanonical(&c, workers)
+}
+
 func TestParallelSelectMatchesSequentialAndScan(t *testing.T) {
-	defer SetSelectParallelism(0)
 	rng := rand.New(rand.NewSource(42))
 	// Big enough that full scans and the popular app/SKU candidate lists
 	// clear the parallel cutoff; small enough to stay fast.
@@ -32,15 +37,16 @@ func TestParallelSelectMatchesSequentialAndScan(t *testing.T) {
 		filters = append(filters, randomFilter(rng))
 	}
 	for _, f := range filters {
-		SetSelectParallelism(1)
-		seq := sn.Select(f)
+		seq := selectWith(sn, f, 1)
 		scan := s.SelectScan(f)
 		if !reflect.DeepEqual(seq, scan) {
 			t.Fatalf("filter %+v: sequential select disagrees with scan oracle", f)
 		}
+		if !reflect.DeepEqual(sn.Select(f), seq) {
+			t.Fatalf("filter %+v: Select at the default worker count differs from sequential", f)
+		}
 		for _, workers := range []int{2, 4, 8} {
-			SetSelectParallelism(workers)
-			par := sn.Select(f)
+			par := selectWith(sn, f, workers)
 			if !reflect.DeepEqual(par, seq) {
 				t.Fatalf("filter %+v at %d workers: parallel select (%d rows) "+
 					"differs from sequential (%d rows)", f, workers, len(par), len(seq))
@@ -50,16 +56,13 @@ func TestParallelSelectMatchesSequentialAndScan(t *testing.T) {
 }
 
 func TestParallelGroupSeriesMatchesSequential(t *testing.T) {
-	defer SetSelectParallelism(0)
 	rng := rand.New(rand.NewSource(7))
 	s := randomStore(rng, 2*parallelSelectMinCandidates)
 	sn := s.Snapshot()
 	for _, f := range []Filter{{}, {AppName: "openfoam"}, {MinNodes: 2}} {
-		SetSelectParallelism(1)
-		seq := sn.GroupSeries(f)
-		SetSelectParallelism(4)
-		par := sn.GroupSeries(f)
-		if !reflect.DeepEqual(par, seq) {
+		seq := groupRuns(selectWith(sn, f, 1))
+		par := groupRuns(selectWith(sn, f, 4))
+		if !reflect.DeepEqual(par, seq) || !reflect.DeepEqual(sn.GroupSeries(f), seq) {
 			t.Fatalf("filter %+v: parallel GroupSeries differs from sequential", f)
 		}
 	}
@@ -68,18 +71,15 @@ func TestParallelGroupSeriesMatchesSequential(t *testing.T) {
 // TestParallelSelectConcurrent drives the parallel path from many
 // goroutines at once — the race detector's target.
 func TestParallelSelectConcurrent(t *testing.T) {
-	defer SetSelectParallelism(0)
 	rng := rand.New(rand.NewSource(99))
 	s := randomStore(rng, 2*parallelSelectMinCandidates)
 	sn := s.Snapshot()
-	SetSelectParallelism(1)
 	want := map[string]int{}
 	filters := []Filter{{}, {AppName: "wrf"}, {SKU: "hc44rs"}, {IncludeFailed: true}}
 	keys := []string{"all", "wrf", "hc44rs", "failed"}
 	for i, f := range filters {
-		want[keys[i]] = len(sn.Select(f))
+		want[keys[i]] = len(selectWith(sn, f, 1))
 	}
-	SetSelectParallelism(4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -87,7 +87,7 @@ func TestParallelSelectConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				f := filters[(g+i)%len(filters)]
-				got := sn.Select(f)
+				got := selectWith(sn, f, 4)
 				if len(got) != want[keys[(g+i)%len(filters)]] {
 					t.Errorf("concurrent select row count changed: %d", len(got))
 					return
@@ -98,14 +98,21 @@ func TestParallelSelectConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSetSelectParallelismClamps(t *testing.T) {
-	defer SetSelectParallelism(0)
-	SetSelectParallelism(-5)
-	if got := selectParallelism(); got < 1 {
-		t.Fatalf("selectParallelism() = %d after reset, want >= 1", got)
+// TestSelectEmptySnapshot: an empty candidate domain returns nil at every
+// worker count rather than dividing it into zero-sized chunks.
+func TestSelectEmptySnapshot(t *testing.T) {
+	sn := NewStore().Snapshot()
+	for _, f := range []Filter{{}, {IncludeFailed: true}, {MinNodes: 2}, {Tags: map[string]string{"run": "r1"}}} {
+		if got := sn.Select(f); got != nil {
+			t.Fatalf("filter %+v on an empty snapshot: got %d rows, want nil", f, len(got))
+		}
+		for _, workers := range []int{1, 2, 8} {
+			if got := selectWith(sn, f, workers); got != nil {
+				t.Fatalf("filter %+v at %d workers on an empty snapshot: got %d rows, want nil", f, workers, len(got))
+			}
+		}
 	}
-	SetSelectParallelism(3)
-	if got := selectParallelism(); got != 3 {
-		t.Fatalf("selectParallelism() = %d, want 3", got)
+	if got := sn.GroupSeries(Filter{}); len(got) != 0 {
+		t.Fatalf("GroupSeries on an empty snapshot: %d series", len(got))
 	}
 }

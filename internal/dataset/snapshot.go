@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -209,7 +210,7 @@ func (sn *Snapshot) Inputs() []string {
 // indexed field is constrained — tag-only or unconstrained filters fall
 // back to scanning the sorted points.
 func (sn *Snapshot) postings(c *CanonicalFilter) ([]int32, bool) {
-	var lists [][]int32
+	lists := make([][]int32, 0, 3)
 	if c.app != "" {
 		lists = append(lists, sn.byApp[c.app])
 	}
@@ -222,7 +223,7 @@ func (sn *Snapshot) postings(c *CanonicalFilter) ([]int32, bool) {
 	if len(lists) == 0 {
 		return nil, false
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
+	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
 	out := lists[0]
 	for _, next := range lists[1:] {
 		if len(out) == 0 {
@@ -262,55 +263,26 @@ func intersectPostings(a, b []int32) []int32 {
 // residual predicates are evaluated per candidate.
 func (sn *Snapshot) Select(f Filter) []Point {
 	c := f.Canonical()
-	return sn.selectCanonical(&c)
+	return sn.selectCanonical(&c, 0)
 }
 
-func (sn *Snapshot) selectCanonical(c *CanonicalFilter) []Point {
+// selectCanonical evaluates the filter at the given worker count (see
+// parallel.go); workers <= 0 picks it from the candidate domain's size.
+// Select passes 0; the worker-scaling tests and benchmarks pin it.
+func (sn *Snapshot) selectCanonical(c *CanonicalFilter, workers int) []Point {
 	cf, ok := sn.resolve(c)
 	if !ok {
 		return nil // a constrained symbol is absent: nothing can match
 	}
 	list, indexed := sn.postings(c)
-	if indexed && len(list) == 0 {
-		return nil
-	}
-	// Large candidate domains fan out across cores; the cutoff keeps small
-	// snapshots and tight index probes on the single-threaded path (see
-	// parallel.go). Both paths emit candidates in the same order, so the
-	// output is byte-identical either way.
 	domain := len(sn.sorted)
 	if indexed {
 		domain = len(list)
 	}
-	if workers := selectParallelism(); workers > 1 && domain >= parallelSelectMinCandidates {
-		if !indexed {
-			list = nil
-		}
-		return sn.selectParallel(&cf, list, domain, workers)
+	if workers <= 0 {
+		workers = selectWorkers(domain)
 	}
-	if indexed {
-		// Preallocate from the posting length; return nil (not an empty
-		// non-nil slice) when nothing matches, like the scan baseline.
-		out := make([]Point, 0, len(list))
-		for _, i := range list {
-			if sn.matchAt(&cf, int(i)) {
-				sn.ensureRow(int(i))
-				out = append(out, sn.sorted[i])
-			}
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		return out
-	}
-	var out []Point
-	for i := range sn.sorted {
-		if sn.matchAt(&cf, i) {
-			sn.ensureRow(i)
-			out = append(out, sn.sorted[i])
-		}
-	}
-	return out
+	return sn.selectChunks(&cf, list, domain, workers)
 }
 
 // GroupSeries groups filtered points into plot series. Select already
@@ -321,7 +293,12 @@ func (sn *Snapshot) selectCanonical(c *CanonicalFilter) []Point {
 // shared backing array is safe; the three-index subslice makes a stray
 // append reallocate instead of clobbering the next group.
 func (sn *Snapshot) GroupSeries(f Filter) map[SeriesKey][]Point {
-	sel := sn.Select(f)
+	return groupRuns(sn.Select(f))
+}
+
+// groupRuns splits a canonical-order selection into its (alias, input)
+// runs.
+func groupRuns(sel []Point) map[SeriesKey][]Point {
 	out := make(map[SeriesKey][]Point)
 	for start := 0; start < len(sel); {
 		end := start + 1

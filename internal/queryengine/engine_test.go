@@ -34,13 +34,13 @@ func TestCacheHitOnRepeatAndInvalidationOnGenerationBump(t *testing.T) {
 	e := New(store, 0)
 	f := dataset.Filter{AppName: "lammps"}
 
-	first := e.AdviceTable(f, pareto.ByTime)
+	first := e.AdviceTable(e.Snapshot(), f, pareto.ByTime)
 	// A cold table is two misses: the table entry plus the memoized front
 	// it layers on.
 	if got := e.Stats(); got.Misses != 2 || got.Hits != 0 {
 		t.Fatalf("cold query: stats = %+v", got)
 	}
-	if second := e.AdviceTable(f, pareto.ByTime); second != first {
+	if second := e.AdviceTable(e.Snapshot(), f, pareto.ByTime); second != first {
 		t.Fatal("repeated query changed output")
 	}
 	if got := e.Stats(); got.Hits != 1 {
@@ -48,8 +48,8 @@ func TestCacheHitOnRepeatAndInvalidationOnGenerationBump(t *testing.T) {
 	}
 	// A filter differing only in case folds to the same key, and Advice
 	// reuses the front the cold AdviceTable already computed.
-	e.AdviceTable(dataset.Filter{AppName: "LAMMPS"}, pareto.ByTime)
-	e.Advice(f, pareto.ByTime)
+	e.AdviceTable(e.Snapshot(), dataset.Filter{AppName: "LAMMPS"}, pareto.ByTime)
+	e.Advice(e.Snapshot(), f, pareto.ByTime)
 	if got := e.Stats(); got.Hits != 3 || got.Misses != 2 {
 		t.Fatalf("case-folded/layered queries missed: stats = %+v", got)
 	}
@@ -62,11 +62,11 @@ func TestCacheHitOnRepeatAndInvalidationOnGenerationBump(t *testing.T) {
 		NNodes: 32, ExecTimeSec: 1, CostUSD: 0.01,
 	}
 	store.Add(fast)
-	after := e.AdviceTable(f, pareto.ByTime)
+	after := e.AdviceTable(e.Snapshot(), f, pareto.ByTime)
 	if after == first {
 		t.Fatal("generation bump did not invalidate the cached advice")
 	}
-	rows := e.Advice(f, pareto.ByTime)
+	rows := e.Advice(e.Snapshot(), f, pareto.ByTime)
 	if len(rows) == 0 || rows[0].ScenarioID != "speedster" {
 		t.Fatalf("post-append advice does not lead with the new optimum: %+v", rows)
 	}
@@ -75,12 +75,12 @@ func TestCacheHitOnRepeatAndInvalidationOnGenerationBump(t *testing.T) {
 func TestAdviceReturnsDefensiveCopy(t *testing.T) {
 	e := New(fixtureStore(20), 0)
 	f := dataset.Filter{AppName: "lammps"}
-	rows := e.Advice(f, pareto.ByTime)
+	rows := e.Advice(e.Snapshot(), f, pareto.ByTime)
 	if len(rows) == 0 {
 		t.Fatal("no advice")
 	}
 	rows[0].CostUSD = -1
-	again := e.Advice(f, pareto.ByTime)
+	again := e.Advice(e.Snapshot(), f, pareto.ByTime)
 	if again[0].CostUSD == -1 {
 		t.Fatal("caller mutation leaked into the cache")
 	}
@@ -106,7 +106,7 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = e.AdviceTable(f, pareto.ByTime)
+			results[i] = e.AdviceTable(e.Snapshot(), f, pareto.ByTime)
 		}(i)
 	}
 	// Let the herd arrive while the first computation is held open, then
@@ -131,7 +131,7 @@ func TestLRUEvictionBoundsCache(t *testing.T) {
 	store := fixtureStore(50)
 	e := New(store, 4)
 	for n := 1; n <= 10; n++ {
-		e.Advice(dataset.Filter{MinNodes: n}, pareto.ByTime)
+		e.Advice(e.Snapshot(), dataset.Filter{MinNodes: n}, pareto.ByTime)
 	}
 	if got := e.Len(); got > 4 {
 		t.Fatalf("cache holds %d entries, bound is 4", got)
@@ -141,7 +141,7 @@ func TestLRUEvictionBoundsCache(t *testing.T) {
 		t.Errorf("evictions = %d, want 6", st.Evictions)
 	}
 	// Evicted keys still answer correctly (recomputed).
-	rows := e.Advice(dataset.Filter{MinNodes: 1}, pareto.ByTime)
+	rows := e.Advice(e.Snapshot(), dataset.Filter{MinNodes: 1}, pareto.ByTime)
 	if len(rows) == 0 {
 		t.Fatal("evicted query returned nothing")
 	}
@@ -176,11 +176,11 @@ func TestConcurrentQueriesVsAppends(t *testing.T) {
 			defer wg.Done()
 			f := dataset.Filter{AppName: "lammps"}
 			for i := 0; i < 100; i++ {
-				_ = e.Advice(f, pareto.ByCost)
-				_ = e.AdviceTable(f, pareto.ByTime)
-				_ = e.GroupSeries(f)
-				_ = e.PlotSet(f)
-				if _, err := e.SVG("speedup", f); err != nil {
+				sn := e.Snapshot()
+				_ = e.Advice(sn, f, pareto.ByCost)
+				_ = e.AdviceTable(sn, f, pareto.ByTime)
+				_ = e.PlotSet(sn, f)
+				if _, err := e.SVG(sn, "speedup", f); err != nil {
 					panic(err)
 				}
 			}
@@ -193,7 +193,7 @@ func TestConcurrentQueriesVsAppends(t *testing.T) {
 
 func TestSVGUnknownName(t *testing.T) {
 	e := New(fixtureStore(5), 0)
-	if _, err := e.SVG("nonsense", dataset.Filter{}); err == nil {
+	if _, err := e.SVG(e.Snapshot(), "nonsense", dataset.Filter{}); err == nil {
 		t.Fatal("unknown plot name must error")
 	}
 }

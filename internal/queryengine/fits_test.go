@@ -96,15 +96,16 @@ var fitsGrids = [][]int{nil, {5, 10}, {1, 2, 4, 8, 16, 32, 64}, {7, 3, 7, 48}}
 func servedArtifacts(t *testing.T, e *Engine, f dataset.Filter, order pareto.SortOrder, cfg predictor.Config) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	rows, err := json.Marshal(e.PredictedAdvice(f, order, cfg))
+	sn := e.Snapshot()
+	rows, err := json.Marshal(e.PredictedAdvice(sn, f, order, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Write(rows)
-	b.WriteString(e.PredictedAdviceTable(f, order, cfg))
-	fmt.Fprintf(&b, "%+v", e.Backtest(f, cfg))
+	b.WriteString(e.PredictedAdviceTable(sn, f, order, cfg))
+	fmt.Fprintf(&b, "%+v", e.Backtest(sn, f, cfg))
 	for _, name := range []string{"exectime_vs_nodes", "exectime_vs_cost"} {
-		svg, err := e.PredictedSVG(name, f, cfg)
+		svg, err := e.PredictedSVG(sn, name, f, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,10 +163,10 @@ func TestFitMemoByteIdenticalToThrowaway(t *testing.T) {
 	f := dataset.Filter{AppName: "lammps"}
 	cfg := predictedConfig(5, 10)
 	var predicted bool
-	for _, r := range e.PredictedAdvice(f, pareto.ByTime, cfg) {
+	for _, r := range e.PredictedAdvice(e.Snapshot(), f, pareto.ByTime, cfg) {
 		predicted = predicted || r.Predicted
 	}
-	if !predicted || e.Backtest(f, cfg).Held == 0 {
+	if !predicted || e.Backtest(e.Snapshot(), f, cfg).Held == 0 {
 		t.Fatal("fixture yields no predictions or no gated folds")
 	}
 }
@@ -174,7 +175,7 @@ func TestFitMemoAfterAppend(t *testing.T) {
 	store := fitsStore()
 	e := New(store, 0)
 	for _, f := range fitsFilters() {
-		e.PredictedAdvice(f, pareto.ByTime, predictedConfig(5, 10))
+		e.PredictedAdvice(e.Snapshot(), f, pareto.ByTime, predictedConfig(5, 10))
 	}
 	before := memoLen(e)
 	// One group gains a node count it never measured.
@@ -214,7 +215,7 @@ func TestFitMemoBoundedByGroupCount(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		cfg := predictedConfig(1+i%40, 41+i, 300+7*i)
 		for _, f := range fitsFilters() {
-			e.PredictedAdvice(f, pareto.ByCost, cfg)
+			e.PredictedAdvice(e.Snapshot(), f, pareto.ByCost, cfg)
 		}
 	}
 	if got := memoLen(e); got != groups {
@@ -233,7 +234,7 @@ func TestFitMemoSharedByConcurrentAppWideRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = e.PredictedAdvice(f, pareto.ByTime, predictedConfig(5, 10+i))
+			results[i] = e.PredictedAdvice(e.Snapshot(), f, pareto.ByTime, predictedConfig(5, 10+i))
 		}(i)
 	}
 	wg.Wait()
@@ -253,14 +254,14 @@ func TestFitMemoSharedByConcurrentAppWideRequests(t *testing.T) {
 func TestBacktestKeyedByFitParameters(t *testing.T) {
 	e := New(fitsStore(), 0)
 	f := dataset.Filter{AppName: "openfoam"}
-	first := e.Backtest(f, predictedConfig(5, 10))
+	first := e.Backtest(e.Snapshot(), f, predictedConfig(5, 10))
 	for _, cfg := range []predictor.Config{predictedConfig(7, 64), predictedConfig(5, 10), predictedConfig()} {
 		cfg.Region = "westeurope"
-		if got := e.Backtest(f, cfg); got != first {
+		if got := e.Backtest(e.Snapshot(), f, cfg); got != first {
 			t.Fatalf("backtest changed with grid or region: %+v vs %+v", got, first)
 		}
 	}
-	if got := e.Backtest(f, predictedConfig(7, 64)); got != first {
+	if got := e.Backtest(e.Snapshot(), f, predictedConfig(7, 64)); got != first {
 		t.Fatalf("backtest changed with grid: %+v vs %+v", got, first)
 	}
 	if st := e.Stats(); st.Misses != 1 || st.Hits != 4 {
@@ -268,7 +269,7 @@ func TestBacktestKeyedByFitParameters(t *testing.T) {
 	}
 	cfg := predictedConfig(5, 10)
 	cfg.MinR2 = 0.5
-	e.Backtest(f, cfg)
+	e.Backtest(e.Snapshot(), f, cfg)
 	if st := e.Stats(); st.Misses != 2 {
 		t.Fatalf("a different quality gate shared the backtest entry: %+v", st)
 	}

@@ -98,7 +98,7 @@ type AdviceRequest struct {
 	Order  pareto.SortOrder
 }
 
-// PredictRequest asks for the merged measured+predicted front (or its
+// PredictRequest asks for the merged measured+predicted front (and its
 // backtest) over the filtered dataset.
 type PredictRequest struct {
 	Filter dataset.Filter
@@ -133,12 +133,6 @@ type PredictedResult struct {
 	Rows       []predictor.Row `json:"rows"`
 }
 
-// BacktestResult carries the leave-one-out report.
-type BacktestResult struct {
-	Generation uint64                   `json:"generation"`
-	Report     predictor.BacktestReport `json:"report"`
-}
-
 // DatasetInfo describes the served dataset: size, distinct dimensions, and
 // (when a persistent store is attached) the on-disk state.
 type DatasetInfo struct {
@@ -167,36 +161,20 @@ func (s *Service) Generation() uint64 {
 	return s.engine().Generation()
 }
 
-// Advice returns the Pareto front for the request, computed at one pinned
-// snapshot so Generation names exactly the state the rows came from. Empty
-// rows are a valid result (nothing matched), not an error — transports
-// choose how to render emptiness.
-func (s *Service) Advice(req AdviceRequest) (AdviceResult, error) {
-	eng := s.engine()
-	sn := eng.Snapshot()
-	return AdviceResult{
-		Generation: sn.Generation(),
-		Rows:       eng.AdviceAt(sn, req.Filter, req.Order),
-	}, nil
-}
-
-// AdviceTable renders the request's front exactly as the paper's Listings
-// 3-4, from the engine's table cache.
-func (s *Service) AdviceTable(req AdviceRequest) (string, error) {
-	return s.engine().AdviceTable(req.Filter, req.Order), nil
-}
-
-// AdvicePage returns the front and its rendered table from one pinned
-// snapshot, for transports displaying both — the row count and the table
-// can never disagree, even mid-append.
+// AdvicePage returns the Pareto front for the request and its table,
+// rendered exactly as the paper's Listings 3-4, from one pinned snapshot:
+// Generation names exactly the state the rows came from, and the row count
+// and the table can never disagree, even mid-append. Empty rows are a valid
+// result (nothing matched), not an error — transports choose how to render
+// emptiness.
 func (s *Service) AdvicePage(req AdviceRequest) (AdviceResult, string, error) {
 	eng := s.engine()
 	sn := eng.Snapshot()
 	res := AdviceResult{
 		Generation: sn.Generation(),
-		Rows:       eng.AdviceAt(sn, req.Filter, req.Order),
+		Rows:       eng.Advice(sn, req.Filter, req.Order),
 	}
-	return res, eng.AdviceTableAt(sn, req.Filter, req.Order), nil
+	return res, eng.AdviceTable(sn, req.Filter, req.Order), nil
 }
 
 // AdviceResponse is the wire envelope of /api/v1/advice.
@@ -226,7 +204,7 @@ func OrderName(o pareto.SortOrder) string {
 func (s *Service) AdviceJSON(req AdviceRequest) ([]byte, uint64, error) {
 	eng := s.engine()
 	sn := eng.Snapshot()
-	v := eng.CachedAt(sn, "service.advicejson", req.Filter, OrderName(req.Order), func(sn *dataset.Snapshot) any {
+	v := eng.Cached(sn, "service.advicejson", req.Filter, OrderName(req.Order), func(sn *dataset.Snapshot) any {
 		// Hot filters skip encoding/json entirely: the snapshot holds the
 		// front rows pre-serialized, and only the tiny envelope is stitched
 		// around them. The stitch is byte-identical to the reflect marshal
@@ -294,8 +272,8 @@ func (s *Service) PredictedAdviceJSON(req PredictRequest) ([]byte, uint64, error
 	sn := eng.Snapshot()
 	cfg := s.predictorConfig(req.Region, req.Grid)
 	extra := OrderName(req.Order) + "|" + cfg.Key()
-	v := eng.CachedAt(sn, "service.predjson", req.Filter, extra, func(sn *dataset.Snapshot) any {
-		rows := eng.PredictedAdviceAt(sn, req.Filter, req.Order, cfg)
+	v := eng.Cached(sn, "service.predjson", req.Filter, extra, func(sn *dataset.Snapshot) any {
+		rows := eng.PredictedAdvice(sn, req.Filter, req.Order, cfg)
 		if rows == nil {
 			rows = []predictor.Row{}
 		}
@@ -304,7 +282,7 @@ func (s *Service) PredictedAdviceJSON(req PredictRequest) ([]byte, uint64, error
 			Sort:       OrderName(req.Order),
 			Count:      len(rows),
 			Rows:       rows,
-			Backtest:   eng.BacktestAt(sn, req.Filter, cfg),
+			Backtest:   eng.Backtest(sn, req.Filter, cfg),
 		})
 		if err != nil {
 			return err
@@ -326,24 +304,6 @@ func (s *Service) predictorConfig(region string, grid []int) predictor.Config {
 	return s.adv.PredictorConfig(region, grid)
 }
 
-// PredictedAdvice returns the merged measured+predicted front, computed at
-// one pinned snapshot.
-func (s *Service) PredictedAdvice(req PredictRequest) (PredictedResult, error) {
-	eng := s.engine()
-	sn := eng.Snapshot()
-	cfg := s.predictorConfig(req.Region, req.Grid)
-	return PredictedResult{
-		Generation: sn.Generation(),
-		Rows:       eng.PredictedAdviceAt(sn, req.Filter, req.Order, cfg),
-	}, nil
-}
-
-// PredictedAdviceTable renders the merged front with Source markings.
-func (s *Service) PredictedAdviceTable(req PredictRequest) (string, error) {
-	cfg := s.predictorConfig(req.Region, req.Grid)
-	return s.engine().PredictedAdviceTable(req.Filter, req.Order, cfg), nil
-}
-
 // PredictedAdvicePage returns the merged front, its rendered table, and
 // the backtest, all from one pinned snapshot — a page composed of the
 // three can never mix generations.
@@ -353,22 +313,10 @@ func (s *Service) PredictedAdvicePage(req PredictRequest) (PredictedResult, stri
 	cfg := s.predictorConfig(req.Region, req.Grid)
 	res := PredictedResult{
 		Generation: sn.Generation(),
-		Rows:       eng.PredictedAdviceAt(sn, req.Filter, req.Order, cfg),
+		Rows:       eng.PredictedAdvice(sn, req.Filter, req.Order, cfg),
 	}
-	table := eng.PredictedAdviceTableAt(sn, req.Filter, req.Order, cfg)
-	return res, table, eng.BacktestAt(sn, req.Filter, cfg), nil
-}
-
-// Backtest runs the leave-one-out evaluation of the scaling models behind
-// the request's predictions, at one pinned snapshot.
-func (s *Service) Backtest(req PredictRequest) (BacktestResult, error) {
-	eng := s.engine()
-	sn := eng.Snapshot()
-	cfg := s.predictorConfig(req.Region, req.Grid)
-	return BacktestResult{
-		Generation: sn.Generation(),
-		Report:     eng.BacktestAt(sn, req.Filter, cfg),
-	}, nil
+	table := eng.PredictedAdviceTable(sn, req.Filter, req.Order, cfg)
+	return res, table, eng.Backtest(sn, req.Filter, cfg), nil
 }
 
 // PlotNames lists the valid plot names, in presentation order.
@@ -377,10 +325,12 @@ func PlotNames() []string { return plot.SetNames }
 // Plots returns the full plot set for the request's filter (the CLI's
 // ASCII path); with Predicted it carries the overlay series.
 func (s *Service) Plots(req PlotRequest) (plot.Set, error) {
+	eng := s.engine()
+	sn := eng.Snapshot()
 	if req.Predicted {
-		return s.engine().PredictedPlotSet(req.Filter, s.predictorConfig(req.Region, req.Grid)), nil
+		return eng.PredictedPlotSet(sn, req.Filter, s.predictorConfig(req.Region, req.Grid)), nil
 	}
-	return s.engine().PlotSet(req.Filter), nil
+	return eng.PlotSet(sn, req.Filter), nil
 }
 
 // PlotSVG renders the named plot as SVG bytes from the engine's SVG cache,
@@ -396,9 +346,9 @@ func (s *Service) PlotSVG(req PlotRequest) ([]byte, uint64, error) {
 	var data []byte
 	var err error
 	if req.Predicted {
-		data, err = eng.PredictedSVGAt(sn, req.Name, req.Filter, s.predictorConfig(req.Region, req.Grid))
+		data, err = eng.PredictedSVG(sn, req.Name, req.Filter, s.predictorConfig(req.Region, req.Grid))
 	} else {
-		data, err = eng.SVGAt(sn, req.Name, req.Filter)
+		data, err = eng.SVG(sn, req.Name, req.Filter)
 	}
 	if err != nil {
 		return nil, 0, Internalf(err, "rendering plot %q", req.Name)
